@@ -307,30 +307,35 @@ func BenchmarkRuntimeMultiTenant(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer rt.Close()
-			kernel := func(g int) eas.Kernel {
-				return eas.Kernel{
+			// Build the kernels once, outside the timed loop: formatting a
+			// name per call would add its allocations and stack depth to
+			// every invocation.
+			kernels := make([]eas.Kernel, tenants)
+			for g := range kernels {
+				kernels[g] = eas.Kernel{
 					Name:         fmt.Sprintf("tenant-%d", g),
 					FLOPsPerItem: 200, MemOpsPerItem: 20, L3MissRatio: 0.1, InstructionsPerItem: 400,
 				}
 			}
 			// Warm the α table so the steady state is measured, not
 			// first-touch profiling.
-			for g := 0; g < tenants; g++ {
-				if _, err := rt.ParallelFor(kernel(g), n); err != nil {
+			for _, k := range kernels {
+				if _, err := rt.ParallelFor(k, n); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var wg sync.WaitGroup
-				for g := 0; g < tenants; g++ {
+				for g := range kernels {
 					wg.Add(1)
-					go func(g int) {
+					go func(k *eas.Kernel) {
 						defer wg.Done()
-						if _, err := rt.ParallelFor(kernel(g), n); err != nil {
+						if _, err := rt.ParallelFor(*k, n); err != nil {
 							b.Error(err)
 						}
-					}(g)
+					}(&kernels[g])
 				}
 				wg.Wait()
 			}

@@ -49,7 +49,6 @@ import (
 
 	"github.com/hetsched/eas/internal/cl"
 	"github.com/hetsched/eas/internal/core"
-	"github.com/hetsched/eas/internal/device"
 	"github.com/hetsched/eas/internal/engine"
 	"github.com/hetsched/eas/internal/obs"
 	"github.com/hetsched/eas/internal/robust"
@@ -79,17 +78,16 @@ type Kernel struct {
 	Body func(i int)
 }
 
-func (k Kernel) toEngine() engine.Kernel {
-	return engine.Kernel{
-		Name: k.Name,
-		Cost: device.CostProfile{
-			FLOPs:        k.FLOPsPerItem,
-			MemOps:       k.MemOpsPerItem,
-			L3MissRatio:  k.L3MissRatio,
-			Divergence:   k.Divergence,
-			Instructions: k.InstructionsPerItem,
-		},
-	}
+// toEngine writes the simulator's view of k into a zero *ek, field by
+// field: a composite literal would be built in a temporary on the
+// caller's stack first.
+func (k *Kernel) toEngine(ek *engine.Kernel) {
+	ek.Name = k.Name
+	ek.Cost.FLOPs = k.FLOPsPerItem
+	ek.Cost.MemOps = k.MemOpsPerItem
+	ek.Cost.L3MissRatio = k.L3MissRatio
+	ek.Cost.Divergence = k.Divergence
+	ek.Cost.Instructions = k.InstructionsPerItem
 }
 
 // Config tunes a Runtime.
@@ -514,7 +512,7 @@ func (r *Runtime) ParallelForCtx(ctx context.Context, k Kernel, n int) (*Report,
 		ctx = context.Background()
 	}
 	if n <= 0 {
-		return nil, fmt.Errorf("eas: non-positive iteration count %d", n)
+		return nil, errNonPositive(n)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -525,29 +523,58 @@ func (r *Runtime) ParallelForCtx(ctx context.Context, k Kernel, n int) (*Report,
 	defer r.endInvocation()
 	started := time.Now()
 	inv := r.nextInvocation()
+	// This frame runs on a per-request goroutine's starting stack, so
+	// everything that is not needed while the scheduler runs lives in
+	// beginScope, failInvocation and complete (see core's growStack).
 	var sc obs.Scope
+	r.beginScope(&sc, inv, k.Name)
+	var ek engine.Kernel
+	k.toEngine(&ek)
+	var rep core.Report
+	if err := r.sched.ParallelForScoped(ctx, &ek, n, &sc, &rep); err != nil {
+		return nil, failInvocation(&sc, err)
+	}
+	return r.complete(ctx, &ek, k.Body, n, inv, started, &sc, &rep)
+}
+
+// beginScope opens the invocation's observer scope into *sc (a no-op
+// without an observer). It stays out of line: inlined, its temporary
+// Scope would sit in ParallelForCtx's frame.
+//
+//go:noinline
+func (r *Runtime) beginScope(sc *obs.Scope, inv uint64, kernel string) {
 	if r.obsv.Enabled() {
-		sc = r.obsv.BeginInvocation(inv, k.Name)
+		*sc = r.obsv.BeginInvocation(inv, kernel)
 	}
-	ek := k.toEngine()
-	rep, err := r.sched.ParallelForScoped(ctx, ek, n, sc)
-	if err != nil {
-		// Surface core's load-shedding rejection as the public typed
-		// error so callers can errors.As for the RetryAfter hint.
-		var ov *core.ErrOverloaded
-		if errors.As(err, &ov) {
-			err = &ErrOverloaded{
-				Tenant:     ov.Tenant,
-				Class:      Class(ov.Class),
-				Reason:     ov.Reason,
-				RetryAfter: ov.RetryAfter,
-			}
+}
+
+func errNonPositive(n int) error {
+	return fmt.Errorf("eas: non-positive iteration count %d", n)
+}
+
+// failInvocation surfaces core's load-shedding rejection as the public
+// typed error, so callers can errors.As for the RetryAfter hint, and
+// closes the invocation's scope with the error.
+func failInvocation(sc *obs.Scope, err error) error {
+	var ov *core.ErrOverloaded
+	if errors.As(err, &ov) {
+		err = &ErrOverloaded{
+			Tenant:     ov.Tenant,
+			Class:      Class(ov.Class),
+			Reason:     ov.Reason,
+			RetryAfter: ov.RetryAfter,
 		}
-		if sc.Enabled() {
-			sc.End(obs.Str("error", err.Error()))
-		}
-		return nil, err
 	}
+	if sc.Enabled() {
+		sc.End(obs.Str("error", err.Error()))
+	}
+	return err
+}
+
+// complete builds the public Report from the scheduler's, runs the
+// loop body functionally and closes the invocation's scope.
+func (r *Runtime) complete(ctx context.Context, ek *engine.Kernel, body func(int), n int, inv uint64, started time.Time, sc *obs.Scope, rep *core.Report) (*Report, error) {
+	k := Kernel{Name: ek.Name, Body: body}
 	out := r.getReport()
 	*out = Report{
 		InvocationID:    inv,
@@ -589,15 +616,14 @@ func (r *Runtime) ParallelForCtx(ctx context.Context, k Kernel, n int) (*Report,
 		out.FallbackError = fmt.Errorf("eas: kernel %q ran CPU-only: %w", k.Name, ErrGPUBusy)
 	}
 	if k.Body != nil {
-		if err := r.executeCtx(ctx, k, n, rep.Alpha, out, sc); err != nil {
-			if sc.Enabled() {
-				sc.End(obs.Str("error", err.Error()))
-			}
-			return nil, err
+		if err := r.executeCtx(ctx, k, n, rep.Alpha, out, *sc); err != nil {
+			// Nothing references a failed invocation's Report.
+			r.ReleaseReport(out)
+			return nil, failInvocation(sc, err)
 		}
 	}
 	out.Finished = time.Now()
-	r.finishScope(ctx, sc, core.StatsFor(rep), k.Name, out, started)
+	r.finishScope(ctx, *sc, rep, k.Name, out, started)
 	return out, nil
 }
 

@@ -23,8 +23,9 @@ func TestCoalesceLeaderLeak(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := s.ParallelForScoped(ctx, engine.Kernel(k), 200000, obs.Scope{})
-		errc <- err
+		ek := engine.Kernel(k)
+		var rep Report
+		errc <- s.ParallelForScoped(ctx, &ek, 200000, &obs.Scope{}, &rep)
 	}()
 	waitUntil(t, "leader queued at gate", func() bool { return s.adm.Waiters() == 1 })
 	cancel() // leader exits with ctx.Err(), flight never resolved

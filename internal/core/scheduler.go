@@ -542,24 +542,44 @@ func (s *Scheduler) ParallelFor(k engine.Kernel, n int) (Report, error) {
 // returns quickly, and an admitted tenant must not leave the simulated
 // clock mid-phase.
 func (s *Scheduler) ParallelForCtx(ctx context.Context, k engine.Kernel, n int) (Report, error) {
+	var rep Report
+	var err error
 	if o := s.opts.Observer; o.Enabled() {
-		sc := o.BeginInvocation(o.NextInvocationID(), k.Name)
-		rep, err := s.ParallelForScoped(ctx, k, n, sc)
-		if err != nil {
-			sc.End(obs.Str("error", err.Error()))
-		} else {
-			st := StatsFor(rep)
-			st.Kernel = k.Name
-			req := RequestFromContext(ctx)
-			st.Tenant = req.Tenant
-			st.Class = req.Class.String()
-			st.Seconds = sc.Elapsed().Seconds()
-			sc.End(obs.Num("alpha", rep.Alpha), obs.Num("energy_j", rep.EnergyJ))
-			o.RecordInvocation(st)
-		}
-		return rep, err
+		err = s.parallelForObserved(ctx, &k, n, o, &rep)
+	} else {
+		var sc obs.Scope
+		err = s.ParallelForScoped(ctx, &k, n, &sc, &rep)
 	}
-	return s.ParallelForScoped(ctx, k, n, obs.Scope{})
+	if err != nil {
+		return Report{}, err
+	}
+	return rep, nil
+}
+
+// parallelForObserved is ParallelForCtx under an invocation scope the
+// scheduler opens, closes and records itself.
+func (s *Scheduler) parallelForObserved(ctx context.Context, k *engine.Kernel, n int, o *obs.Observer, rep *Report) error {
+	sc := o.BeginInvocation(o.NextInvocationID(), k.Name)
+	if err := s.ParallelForScoped(ctx, k, n, &sc, rep); err != nil {
+		sc.End(obs.Str("error", err.Error()))
+		return err
+	}
+	recordInvocation(ctx, o, &sc, k.Name, rep)
+	return nil
+}
+
+// recordInvocation closes a completed invocation's scope and records
+// its metrics. It stays out of parallelForObserved's frame, which runs
+// on the caller's starting stack.
+func recordInvocation(ctx context.Context, o *obs.Observer, sc *obs.Scope, kernel string, rep *Report) {
+	st := StatsFor(rep)
+	st.Kernel = kernel
+	req := RequestFromContext(ctx)
+	st.Tenant = req.Tenant
+	st.Class = req.Class.String()
+	st.Seconds = sc.Elapsed().Seconds()
+	sc.End(obs.Num("alpha", rep.Alpha), obs.Num("energy_j", rep.EnergyJ))
+	o.RecordInvocation(st)
 }
 
 // StatsFor summarizes a completed invocation's report as the metric
@@ -567,7 +587,7 @@ func (s *Scheduler) ParallelForCtx(ctx context.Context, k engine.Kernel, n int) 
 // scope via ParallelForScoped fold these in exactly once per
 // invocation (amending the fallback reason if they know a more
 // specific one); the ParallelForCtx path does it automatically.
-func StatsFor(rep Report) obs.InvocationStats {
+func StatsFor(rep *Report) obs.InvocationStats {
 	st := obs.InvocationStats{
 		Seconds:        rep.Duration.Seconds(),
 		ProfileSeconds: rep.ProfileDuration.Seconds(),
@@ -598,17 +618,60 @@ func StatsFor(rep Report) obs.InvocationStats {
 	return st
 }
 
-// ParallelForScoped is ParallelForCtx under a caller-owned observer
-// scope: spans for admission wait, profiling, the α search (with its
-// Explain decision audit), and remainder execution are emitted as
-// children of sc, and instant events mark retries, fallbacks, and
-// breaker suppressions. The caller owns the scope's lifecycle — it
-// calls sc.End and records invocation metrics (see StatsFor) itself.
-// A zero Scope (or one from a nil observer) disables all of it.
-func (s *Scheduler) ParallelForScoped(ctx context.Context, k engine.Kernel, n int, sc obs.Scope) (Report, error) {
-	if n <= 0 {
-		return Report{}, fmt.Errorf("core: non-positive iteration count %d for kernel %q", n, k.Name)
+// growFrame is growStack's frame size. Together with the runtime's
+// 928-byte stack guard it does not fit in an 8 KiB stack, so a
+// goroutine on its 2 KiB starting stack grows once, straight to 16 KiB:
+// the largest size the per-P stack cache serves (a 32 KiB stack would
+// come from the heap, under the heap lock).
+const growFrame = 7<<10 + 512
+
+// growStack takes an invocation's one stack growth while the stack is
+// still shallow. A goroutine started per request otherwise grows
+// 2→4→8→16 KiB on demand, deep in the engine, and every growth copies
+// the stack and re-walks every frame on it. It runs before the gate,
+// not after it: parking in the gate's select needs more room than a
+// 2 KiB stack has left under the caller's frames, so a growth after
+// admission would be a second one for every caller that waits.
+// ci/check-hot-frames.sh keeps the frames above the call within the
+// starting stack and those below it within the grown one.
+//
+// Callers pass 0. The frame is reserved, and the stack grown, on entry;
+// only the branch that is never taken would clear it, so on a stack
+// that already has the room the call costs next to nothing.
+//
+//go:noinline
+func growStack(i int) byte {
+	if i > 0 {
+		var pad [growFrame]byte
+		return pad[i%growFrame]
 	}
+	return 0
+}
+
+// ParallelForScoped is ParallelForCtx under a caller-owned observer
+// scope, writing the invocation's report into *rep (which it clears
+// first; after an error *rep is unspecified). Spans for admission
+// wait, profiling, the α search (with its Explain decision audit), and
+// remainder execution are emitted as children of sc, and instant
+// events mark retries, fallbacks, and breaker suppressions. The caller
+// owns the scope's lifecycle — it calls sc.End and records invocation
+// metrics (see StatsFor) itself. A zero Scope (or one from a nil
+// observer) disables all of it.
+//
+// It starts by taking the invocation's one stack growth (growStack),
+// while the caller's stack is still shallow.
+func (s *Scheduler) ParallelForScoped(ctx context.Context, k *engine.Kernel, n int, sc *obs.Scope, rep *Report) error {
+	growStack(0)
+	return s.admit(ctx, k, n, sc, rep)
+}
+
+// admit resolves the invocation's table entry and coalesced-flight
+// role, queues it at the gate and runs it once admitted.
+func (s *Scheduler) admit(ctx context.Context, k *engine.Kernel, n int, sc *obs.Scope, rep *Report) error {
+	if n <= 0 {
+		return errNonPositive(k.Name, n)
+	}
+	*rep = Report{}
 	// Resolve the kernel's interned table entry once; every table touch
 	// on the invocation's hot path is a pointer dereference from here on.
 	ent := s.table.intern(k.Name)
@@ -616,47 +679,52 @@ func (s *Scheduler) ParallelForScoped(ctx context.Context, k engine.Kernel, n in
 	if s.coal != nil {
 		var err error
 		if plan, err = s.joinCoalesce(ctx, k, n, sc, ent); err != nil {
-			return Report{}, err
+			return err
 		}
 		if plan.flight != nil {
-			// This invocation leads a coalesced flight and must resolve
-			// it exactly once, on every exit — including a cancelled
-			// admission Acquire or a tiered-gate shed that never reaches
-			// the decision body. Publishing happens inline at the
-			// decision points in parallelFor; any other exit reaches
-			// this deferred abort, which sends the flight's followers to
-			// solo decisions. The flight only leaves the map here, after
-			// the table is updated, so a late same-kernel arrival shares
-			// the decision instead of profiling again.
-			defer func() {
-				if plan.flight.abort() {
-					s.coal.recordAbort()
-					if o := s.opts.Observer; o.Enabled() {
-						o.RecordCoalesceAbort()
-					}
-				}
-				s.coal.finish(k.Name, plan.flight)
-			}()
+			defer s.resolveFlight(k.Name, plan.flight)
 		}
 	}
-	if s.gates != nil {
-		return s.parallelForSharded(ctx, k, n, sc, plan, ent)
-	}
-	if s.adm.t != nil {
-		return s.parallelForTiered(ctx, k, n, sc, plan, ent)
+	switch {
+	case s.gates != nil:
+		return s.parallelForSharded(ctx, k, n, sc, plan, ent, rep)
+	case s.adm.t != nil:
+		return s.parallelForTiered(ctx, k, n, sc, plan, ent, rep)
 	}
 	if sc.Enabled() {
 		wait := sc.Span("admission-wait")
 		if err := s.adm.Acquire(ctx); err != nil {
 			wait.End(obs.Str("error", err.Error()))
-			return Report{}, err
+			return err
 		}
 		wait.End()
 	} else if err := s.adm.Acquire(ctx); err != nil {
-		return Report{}, err
+		return err
 	}
 	defer s.adm.Release()
-	return s.runAdmitted(k, n, sc, plan, ent)
+	return s.runAdmitted(k, n, sc, plan, ent, rep)
+}
+
+func errNonPositive(kernel string, n int) error {
+	return fmt.Errorf("core: non-positive iteration count %d for kernel %q", n, kernel)
+}
+
+// resolveFlight resolves a coalesced flight this invocation leads,
+// exactly once, on every exit — including a cancelled admission Acquire
+// or a tiered-gate shed that never reaches the decision body.
+// Publishing happens inline at the decision points in parallelFor; any
+// other exit aborts here, which sends the flight's followers to solo
+// decisions. The flight only leaves the map here, after the table is
+// updated, so a late same-kernel arrival shares the decision instead of
+// profiling again.
+func (s *Scheduler) resolveFlight(kernel string, f *decisionFlight) {
+	if f.abort() {
+		s.coal.recordAbort()
+		if o := s.opts.Observer; o.Enabled() {
+			o.RecordCoalesceAbort()
+		}
+	}
+	s.coal.finish(kernel, f)
 }
 
 // joinCoalesce decides this invocation's role in the decision
@@ -667,7 +735,7 @@ func (s *Scheduler) ParallelForScoped(ctx context.Context, k engine.Kernel, n in
 // *before* queueing at the admission gate (the leader holds the gate
 // for its whole invocation, so waiting after Acquire would deadlock),
 // until the leader publishes or aborts.
-func (s *Scheduler) joinCoalesce(ctx context.Context, k engine.Kernel, n int, sc obs.Scope, ent *kernelEntry) (invPlan, error) {
+func (s *Scheduler) joinCoalesce(ctx context.Context, k *engine.Kernel, n int, sc *obs.Scope, ent *kernelEntry) (invPlan, error) {
 	if float64(n) < float64(s.eng.Platform().GPUProfileSize()) || !s.wouldProfile(ent) {
 		return invPlan{}, nil
 	}
@@ -746,24 +814,24 @@ func (s *Scheduler) fastFresh(rec record) bool {
 	return s.opts.MinConfidence <= 0 || rec.invocations >= s.opts.MinConfidence
 }
 
-// parallelForSharded is the ParallelForScoped body behind the
-// per-device sharded gate: the invocation claims only the devices its
+// parallelForSharded is the admission path behind the per-device
+// sharded gate: the invocation claims only the devices its
 // conservative pre-admission estimate says it needs, so disjoint
 // invocations overlap.
-func (s *Scheduler) parallelForSharded(ctx context.Context, k engine.Kernel, n int, sc obs.Scope, plan invPlan, ent *kernelEntry) (Report, error) {
-	mask := s.deviceMaskFor(k, n, plan, ent)
+func (s *Scheduler) parallelForSharded(ctx context.Context, k *engine.Kernel, n int, sc *obs.Scope, plan invPlan, ent *kernelEntry, rep *Report) error {
+	mask := s.deviceMaskFor(n, plan, ent)
 	if sc.Enabled() {
 		wait := sc.Span("admission-wait")
 		if err := s.gates.Acquire(ctx, mask); err != nil {
 			wait.End(obs.Str("error", err.Error()))
-			return Report{}, err
+			return err
 		}
 		wait.End(obs.Num("device_mask", float64(mask)))
 	} else if err := s.gates.Acquire(ctx, mask); err != nil {
-		return Report{}, err
+		return err
 	}
 	defer s.gates.Release(mask)
-	return s.runAdmitted(k, n, sc, plan, ent)
+	return s.runAdmitted(k, n, sc, plan, ent, rep)
 }
 
 // deviceMaskFor estimates which devices an invocation will drive,
@@ -772,7 +840,7 @@ func (s *Scheduler) parallelForSharded(ctx context.Context, k engine.Kernel, n i
 // small-N CPU-only run, or a replayed α pinned at exactly 0 or 1;
 // anything that will (or might) profile claims both devices. The mask
 // is conservative, not a contract: see DeviceGates.
-func (s *Scheduler) deviceMaskFor(k engine.Kernel, n int, plan invPlan, ent *kernelEntry) DeviceMask {
+func (s *Scheduler) deviceMaskFor(n int, plan invPlan, ent *kernelEntry) DeviceMask {
 	var alpha float64
 	switch {
 	case plan.flight != nil:
@@ -798,14 +866,14 @@ func (s *Scheduler) deviceMaskFor(k engine.Kernel, n int, plan invPlan, ent *ker
 	return DeviceAll
 }
 
-// parallelForTiered is the ParallelForScoped body behind the tiered
+// parallelForTiered is the admission path behind the tiered
 // admission controller: it reads the invocation's admission attributes
 // (tenant, class, deadline budget) from the context, may be shed with
 // ErrOverloaded before touching anything, and runs under watchdog
 // supervision — a force-released invocation returns
 // ErrAdmissionRevoked instead of its report, because a revoked gate
 // means another tenant may have driven the engine concurrently.
-func (s *Scheduler) parallelForTiered(ctx context.Context, k engine.Kernel, n int, sc obs.Scope, plan invPlan, ent *kernelEntry) (Report, error) {
+func (s *Scheduler) parallelForTiered(ctx context.Context, k *engine.Kernel, n int, sc *obs.Scope, plan invPlan, ent *kernelEntry, rep *Report) error {
 	req := RequestFromContext(ctx)
 	runCtx := ctx
 	var cancel context.CancelFunc
@@ -823,12 +891,12 @@ func (s *Scheduler) parallelForTiered(ctx context.Context, k engine.Kernel, n in
 		if err != nil {
 			wait.End(obs.Str("error", err.Error()))
 			s.recordShed(err)
-			return Report{}, err
+			return err
 		}
 		wait.End(obs.Str("class", req.Class.String()))
 	} else if ticket, err = s.adm.AcquireTiered(ctx, req, cancel); err != nil {
 		s.recordShed(err)
-		return Report{}, err
+		return err
 	}
 	defer s.adm.ReleaseTiered(ticket)
 
@@ -849,16 +917,15 @@ func (s *Scheduler) parallelForTiered(ctx context.Context, k engine.Kernel, n in
 		}
 	}
 	if s.adm.Revoked(ticket) {
-		return Report{}, ErrAdmissionRevoked
+		return ErrAdmissionRevoked
 	}
-	rep, err := s.runAdmitted(k, n, sc, plan, ent)
-	if err != nil {
-		return Report{}, err
+	if err := s.runAdmitted(k, n, sc, plan, ent, rep); err != nil {
+		return err
 	}
 	if s.adm.Revoked(ticket) {
-		return Report{}, ErrAdmissionRevoked
+		return ErrAdmissionRevoked
 	}
-	return rep, nil
+	return nil
 }
 
 // recordShed attributes one tiered-gate load-shedding rejection to its
@@ -876,13 +943,10 @@ func (s *Scheduler) recordShed(err error) {
 	}
 }
 
-// runAdmitted is the admission critical section shared by the legacy
-// and tiered gates: the caller holds the gate; energy meters span the
-// whole invocation so the deltas belong to this tenant alone.
-func (s *Scheduler) runAdmitted(k engine.Kernel, n int, sc obs.Scope, plan invPlan, ent *kernelEntry) (Report, error) {
-	// The per-domain RAPL meters span the whole invocation; they live
-	// inside the critical section so the deltas belong to this tenant
-	// alone.
+// runAdmitted is the admission critical section shared by every gate:
+// the caller holds the gate; energy meters span the whole invocation
+// so the deltas belong to this tenant alone.
+func (s *Scheduler) runAdmitted(k *engine.Kernel, n int, sc *obs.Scope, plan invPlan, ent *kernelEntry, rep *Report) error {
 	p := s.eng.Platform()
 	pp0 := msr.NewMeter(p.MSRPP0)
 	pp1 := msr.NewMeter(p.MSRPP1)
@@ -895,9 +959,8 @@ func (s *Scheduler) runAdmitted(k engine.Kernel, n int, sc obs.Scope, plan invPl
 		pre = s.rmeter.Stats()
 		s.invPredW = 0
 	}
-	rep, err := s.parallelFor(k, n, sc, plan, ent)
-	if err != nil {
-		return Report{}, err
+	if err := s.parallelFor(k, n, sc, plan, ent, rep); err != nil {
+		return err
 	}
 	rep.CPUEnergyJ = pp0.Joules()
 	rep.GPUEnergyJ = pp1.Joules()
@@ -918,42 +981,31 @@ func (s *Scheduler) runAdmitted(k engine.Kernel, n int, sc obs.Scope, plan invPl
 		rep.Telemetry = rep.Telemetry.Worse(robust.Degraded)
 	}
 	rep.BreakerState = s.breaker.State()
-	return rep, nil
+	return nil
 }
 
 // parallelFor is the EAS algorithm proper; the caller holds the
-// admission gate.
-func (s *Scheduler) parallelFor(k engine.Kernel, n int, sc obs.Scope, plan invPlan, ent *kernelEntry) (Report, error) {
-	// A flight-leading plan is resolved by ParallelForScoped's deferred
-	// abort/finish, which also covers exits that never reach this body.
+// admission gate. A flight-leading plan is resolved by
+// ParallelForScoped's deferred resolveFlight, which also covers exits
+// that never reach this body.
+func (s *Scheduler) parallelFor(k *engine.Kernel, n int, sc *obs.Scope, plan invPlan, ent *kernelEntry, rep *Report) error {
 	// GPU owned by another application (the A26 check): CPU-only run,
 	// nothing recorded. The breaker counts it like any other
 	// GPU-unavailable fallback.
 	if s.eng.Platform().GPUBusy() {
-		sc.Event("gpu-busy-upfront")
-		res, err := s.eng.Run(engine.Phase{Kernel: k, PoolItems: float64(n)})
-		if err != nil {
-			return Report{}, err
+		rep.GPUBusyFallback = true
+		if err := s.cpuOnly(k, n, sc, "gpu-busy-upfront", rep); err != nil {
+			return err
 		}
 		s.breaker.RecordFallback()
-		return s.addResult(res, Report{GPUBusyFallback: true}), nil
+		return nil
 	}
-
-	profileSize := float64(s.eng.Platform().GPUProfileSize())
-	var rec record
-	ok := ent.snapshot(&rec)
-	known := ok && rec.profiled
 
 	// Too little parallelism to fill the GPU: multi-core CPU alone
 	// (Fig. 7 steps 6-10). The run is not recorded: a tiny frontier
 	// says nothing about how larger invocations should split.
-	if float64(n) < profileSize {
-		sc.Event("small-n-cpu-only")
-		res, err := s.eng.Run(engine.Phase{Kernel: k, PoolItems: float64(n)})
-		if err != nil {
-			return Report{}, err
-		}
-		return s.addResult(res, Report{}), nil
+	if float64(n) < float64(s.eng.Platform().GPUProfileSize()) {
+		return s.cpuOnly(k, n, sc, "small-n-cpu-only", rep)
 	}
 
 	// Circuit breaker open: the GPU has been failing every recent
@@ -961,17 +1013,12 @@ func (s *Scheduler) parallelFor(k engine.Kernel, n int, sc obs.Scope, plan invPl
 	// CPU-only. Not recorded — a suppressed run says nothing about the
 	// kernel's best split.
 	if !s.breaker.Allow() {
-		sc.Event("breaker-suppressed")
-		res, err := s.eng.Run(engine.Phase{Kernel: k, PoolItems: float64(n)})
-		if err != nil {
-			return Report{}, err
-		}
-		return s.addResult(res, Report{BreakerOpen: true}), nil
+		rep.BreakerOpen = true
+		return s.cpuOnly(k, n, sc, "breaker-suppressed", rep)
 	}
 
-	rep := Report{}
-	nrem := float64(n)
-	var alpha float64
+	var rec record
+	known := ent.snapshot(&rec) && rec.profiled
 	// rec.invocations counts completed recorded invocations, so this
 	// one's ordinal is rec.invocations+1; it re-profiles when that
 	// ordinal is a multiple of k, making k=1 profile every invocation
@@ -993,11 +1040,14 @@ func (s *Scheduler) parallelFor(k engine.Kernel, n int, sc obs.Scope, plan invPl
 		}
 	}
 
+	nrem := float64(n)
+	var alpha float64
 	quarantined := false
-	if plan.forced != nil {
+	switch {
+	case plan.forced != nil:
 		// Coalesced follower: execute the full iteration count at the
 		// leader's published α — no profiling, no search.
-		dec := *plan.forced
+		dec := plan.forced
 		alpha = dec.Alpha
 		rep.Category = dec.Category
 		rep.CatKnown = true
@@ -1005,19 +1055,15 @@ func (s *Scheduler) parallelFor(k engine.Kernel, n int, sc obs.Scope, plan invPl
 		rep.PredictedPower = dec.PredictedPower
 		rep.PredictedTime = dec.PredictedTime
 		if s.rmeter != nil {
-			if curve, ok := s.curve(dec.Category); ok {
-				s.invPredW = curve.Power(dec.Alpha)
-			}
+			s.predictPower(dec.Category, dec.Alpha)
 		}
-	} else if known && !needProfile {
+	case known && !needProfile:
 		// Fig. 7 steps 2-4: reuse the accumulated α.
 		alpha = rec.alpha
 		rep.Category = rec.category
 		rep.CatKnown = true
 		if s.rmeter != nil {
-			if curve, ok := s.curve(rec.category); ok {
-				s.invPredW = curve.Power(rec.alpha)
-			}
+			s.predictPower(rec.category, rec.alpha)
 		}
 		if plan.flight != nil {
 			// A leader that landed on the replay path (another
@@ -1026,197 +1072,20 @@ func (s *Scheduler) parallelFor(k engine.Kernel, n int, sc obs.Scope, plan invPl
 			// instead of stalling until the deferred abort.
 			plan.flight.publish(Decision{Alpha: alpha, Category: rec.category})
 		}
-	} else {
-		// Fig. 7 steps 11-22: repeated online profiling over the first
-		// half of the iterations.
-		var prof obs.Timed
-		if sc.Enabled() {
-			prof = sc.Span("profile")
-		}
-		var acc, prev profile.Observation
-		chunk := profileSize
-		stopAt := float64(n) * (1 - s.opts.ProfileShare)
-		for nrem > stopAt && nrem > 0 {
-			gpuChunk := chunk
-			if gpuChunk > nrem {
-				gpuChunk = nrem
-			}
-			var step obs.Timed
-			if prof.Enabled() {
-				step = prof.Child("profile-step")
-			}
-			var ob profile.Observation
-			var remaining float64
-			err := s.retryBusy(&rep, sc, func() error {
-				var e error
-				ob, remaining, e = profile.Step(s.eng, k, gpuChunk, nrem-gpuChunk)
-				return e
-			})
-			if errors.Is(err, engine.ErrGPUBusy) {
-				// The GPU became (and stayed) busy mid-profiling: finish
-				// the invocation CPU-only and remember nothing.
-				if step.Enabled() {
-					step.End(obs.Str("outcome", "gpu-busy"))
-					prof.End(obs.Num("steps", float64(rep.ProfileSteps)))
-				}
-				return s.cpuFallback(k, nrem, rep, sc)
-			}
-			if err != nil {
-				return Report{}, err
-			}
-			if step.Enabled() {
-				step.End(obs.Num("gpu_chunk", gpuChunk),
-					obs.Num("rc", ob.RC), obs.Num("rg", ob.RG))
-			}
-			rep.ProfileSteps++
-			if rep.ProfileSteps == 1 {
-				acc = ob
-			} else {
-				acc = profile.Merge(acc, ob)
-			}
-			rep.Duration += ob.Duration
-			rep.ProfileDuration += ob.Duration
-			rep.EnergyJ += s.measureEnergy(ob.Duration, ob.EnergyJ)
-			rep.CPUItems += ob.CPUItems
-			rep.GPUItems += ob.GPUItems
-			nrem = remaining
-			if s.opts.MaxProfileSteps > 0 && rep.ProfileSteps >= s.opts.MaxProfileSteps {
-				break
-			}
-			if s.opts.ConvergeTol > 0 && rep.ProfileSteps >= 2 &&
-				within(ob.RC, prev.RC, s.opts.ConvergeTol) &&
-				within(ob.RG, prev.RG, s.opts.ConvergeTol) {
-				break
-			}
-			prev = ob
-			if s.opts.GrowProfileChunk {
-				chunk *= 2
-			}
-		}
-		if prof.Enabled() {
-			prof.End(obs.Num("steps", float64(rep.ProfileSteps)),
-				obs.Num("rc", acc.RC), obs.Num("rg", acc.RG))
-		}
-		rep.Profiled = true
-		if s.opts.ValidateProfiles {
-			san, clamped, qerr := s.env.Sanitize(acc)
-			if qerr != nil {
-				// The profile is physically impossible: never let it
-				// near the α table. Replay the last known-good split
-				// (or CPU-only for unknown kernels) and force a fresh
-				// profile next invocation.
-				quarantined = true
-				rep.ProfileQuarantined = true
-				if sc.Enabled() {
-					sc.Event("profile-quarantined", obs.Str("cause", qerr.Error()))
-				}
-				ent.markReprofile()
-				if s.store != nil {
-					s.persistReprofile(k.Name)
-				}
-				if known {
-					alpha = rec.alpha
-					rep.Category = rec.category
-					rep.CatKnown = true
-				}
-			} else {
-				acc = san
-				rep.ProfileSanitized = clamped
-			}
-		}
-		if !quarantined {
-			rep.Category = acc.ClassifyWith(nrem, s.opts.ShortLongThreshold, s.opts.MemoryBoundThreshold)
-			rep.CatKnown = true
-			curve, ok := s.curve(rep.Category)
-			if !ok {
-				return Report{}, fmt.Errorf("core: characterization has no curve for %s", rep.Category)
-			}
-			tm := TimeModel{RC: acc.RC, RG: acc.RG}
-			if !tm.Valid() {
-				return Report{}, fmt.Errorf("core: profiling produced no usable throughputs for kernel %q", k.Name)
-			}
-			// Search over at least half an invocation's work: profiling may
-			// have consumed nearly everything (small N), and the α chosen
-			// here is what the table replays on *future* invocations, so it
-			// must reflect a representative workload size, not a remnant.
-			searchN := nrem
-			if searchN < float64(n)/2 {
-				searchN = float64(n) / 2
-				rep.Category = acc.ClassifyWith(searchN, s.opts.ShortLongThreshold, s.opts.MemoryBoundThreshold)
-				curve, ok = s.curve(rep.Category)
-				if !ok {
-					return Report{}, fmt.Errorf("core: characterization has no curve for %s", rep.Category)
-				}
-			}
-			var search obs.Timed
-			if sc.Enabled() {
-				search = sc.Span("alpha-search")
-			}
-			if s.opts.RefineAlpha {
-				alpha, _ = BestAlphaRefined(curve, tm, searchN, s.metric, s.opts.AlphaStep, 0)
-			} else {
-				alpha, _ = BestAlpha(curve, tm, searchN, s.metric, s.opts.AlphaStep)
-			}
-			if search.Enabled() {
-				search.EndExplain(s.explain(curve, tm, searchN, alpha, rep.Category))
-			}
-			rep.PredictedTime = tm.Time(alpha, searchN)
-			rep.PredictedPower = curve.Power(alpha)
-			s.invPredW = rep.PredictedPower
-			if plan.flight != nil {
-				if s.eng.FaultPlan().TakeCoalesceLeaderFail() {
-					// Injected leader failure: the decision is ready but
-					// never published — the deferred abort wakes the
-					// followers into their solo fallback. The leader's
-					// own invocation continues unharmed.
-					if sc.Enabled() {
-						sc.Event("coalesce-leader-fail")
-					}
-				} else {
-					plan.flight.publish(Decision{
-						Alpha:          alpha,
-						Category:       rep.Category,
-						RC:             tm.RC,
-						RG:             tm.RG,
-						PredictedPower: rep.PredictedPower,
-						PredictedTime:  rep.PredictedTime,
-					})
-				}
-			}
+	default:
+		var err error
+		alpha, nrem, quarantined, err = s.profileDecide(k, n, sc, plan, ent, rep, &rec, known)
+		if err != nil || rep.GPUBusyFallback {
+			return err
 		}
 	}
 	rep.Alpha = alpha
 
 	// Fig. 7 steps 23-25: execute the remainder with the chosen split.
 	if nrem > 0 {
-		var exec obs.Timed
-		if sc.Enabled() {
-			exec = sc.Span("execute")
+		if err := s.execute(k, nrem, alpha, sc, rep); err != nil || rep.GPUBusyFallback {
+			return err
 		}
-		var res engine.Result
-		err := s.retryBusy(&rep, sc, func() error {
-			var e error
-			res, e = s.eng.Run(engine.Phase{
-				Kernel:    k,
-				GPUItems:  alpha * nrem,
-				PoolItems: (1 - alpha) * nrem,
-			})
-			return e
-		})
-		if errors.Is(err, engine.ErrGPUBusy) {
-			if exec.Enabled() {
-				exec.End(obs.Str("outcome", "gpu-busy"))
-			}
-			return s.cpuFallback(k, nrem, rep, sc)
-		}
-		if err != nil {
-			return Report{}, err
-		}
-		if exec.Enabled() {
-			exec.End(obs.Num("gpu_items", alpha*nrem),
-				obs.Num("cpu_items", (1-alpha)*nrem))
-		}
-		rep = s.addResult(res, rep)
 	}
 
 	// The invocation touched the GPU (profiling chunks and/or an α>0
@@ -1234,7 +1103,251 @@ func (s *Scheduler) parallelFor(k engine.Kernel, n int, sc obs.Scope, plan invPl
 			s.accumulatePersist(ent, k.Name, alpha, float64(n), rep.Category)
 		}
 	}
-	return rep, nil
+	return nil
+}
+
+// cpuOnly runs all the items on the CPU — the GPU-busy, small-N and
+// breaker-open branches, which neither consult nor feed the α table.
+func (s *Scheduler) cpuOnly(k *engine.Kernel, n int, sc *obs.Scope, event string, rep *Report) error {
+	sc.Event(event)
+	res, err := s.eng.Run(engine.Phase{Kernel: *k, PoolItems: float64(n)})
+	if err != nil {
+		return err
+	}
+	s.addResult(rep, &res)
+	return nil
+}
+
+// predictPower sets the model's power at α for the in-flight
+// invocation: the robust meter's substitution value.
+func (s *Scheduler) predictPower(cat wclass.Category, alpha float64) {
+	if curve, ok := s.curve(cat); ok {
+		s.invPredW = curve.Power(alpha)
+	}
+}
+
+// profileDecide is Fig. 7 steps 11-22: repeated online profiling over
+// the first half of the iterations, then the α search — or, for a
+// quarantined profile, a replay of the last known-good split (CPU-only
+// for unknown kernels). It returns the α, the items left for the
+// remainder and whether the profile was quarantined. If the GPU stays
+// busy mid-profile it finishes the invocation CPU-only instead
+// (rep.GPUBusyFallback).
+func (s *Scheduler) profileDecide(k *engine.Kernel, n int, sc *obs.Scope, plan invPlan, ent *kernelEntry, rep *Report, rec *record, known bool) (alpha, nrem float64, quarantined bool, err error) {
+	acc, nrem, err := s.profileSteps(k, n, sc, rep)
+	if err != nil || rep.GPUBusyFallback {
+		return 0, nrem, false, err
+	}
+	rep.Profiled = true
+	if s.opts.ValidateProfiles {
+		san, clamped, qerr := s.env.Sanitize(acc)
+		if qerr != nil {
+			// The profile is physically impossible: never let it near
+			// the α table, and force a fresh profile next invocation.
+			s.quarantine(k.Name, sc, ent, qerr, rep)
+			if known {
+				alpha = rec.alpha
+				rep.Category = rec.category
+				rep.CatKnown = true
+			}
+			return alpha, nrem, true, nil
+		}
+		acc = san
+		rep.ProfileSanitized = clamped
+	}
+	alpha, err = s.search(k.Name, n, nrem, &acc, sc, plan, rep)
+	return alpha, nrem, false, err
+}
+
+// profileSteps runs the repeated profiling steps and returns their
+// merged observation and the items still to execute.
+func (s *Scheduler) profileSteps(k *engine.Kernel, n int, sc *obs.Scope, rep *Report) (acc profile.Observation, nrem float64, err error) {
+	var prof obs.Timed
+	if sc.Enabled() {
+		prof = sc.Span("profile")
+	}
+	var prev profile.Observation
+	nrem = float64(n)
+	chunk := float64(s.eng.Platform().GPUProfileSize())
+	stopAt := float64(n) * (1 - s.opts.ProfileShare)
+	for nrem > stopAt && nrem > 0 {
+		gpuChunk := chunk
+		if gpuChunk > nrem {
+			gpuChunk = nrem
+		}
+		var step obs.Timed
+		if prof.Enabled() {
+			step = prof.Child("profile-step")
+		}
+		var ob profile.Observation
+		var remaining float64
+		err := s.retryBusy(rep, sc, func() error {
+			var e error
+			ob, remaining, e = profile.Step(s.eng, *k, gpuChunk, nrem-gpuChunk)
+			return e
+		})
+		if errors.Is(err, engine.ErrGPUBusy) {
+			// The GPU became (and stayed) busy mid-profiling: finish
+			// the invocation CPU-only and remember nothing.
+			if step.Enabled() {
+				step.End(obs.Str("outcome", "gpu-busy"))
+				prof.End(obs.Num("steps", float64(rep.ProfileSteps)))
+			}
+			return acc, nrem, s.cpuFallback(k, nrem, sc, rep)
+		}
+		if err != nil {
+			return acc, nrem, err
+		}
+		if step.Enabled() {
+			step.End(obs.Num("gpu_chunk", gpuChunk),
+				obs.Num("rc", ob.RC), obs.Num("rg", ob.RG))
+		}
+		rep.ProfileSteps++
+		if rep.ProfileSteps == 1 {
+			acc = ob
+		} else {
+			acc = profile.Merge(acc, ob)
+		}
+		rep.Duration += ob.Duration
+		rep.ProfileDuration += ob.Duration
+		rep.EnergyJ += s.measureEnergy(ob.Duration, ob.EnergyJ)
+		rep.CPUItems += ob.CPUItems
+		rep.GPUItems += ob.GPUItems
+		nrem = remaining
+		if s.opts.MaxProfileSteps > 0 && rep.ProfileSteps >= s.opts.MaxProfileSteps {
+			break
+		}
+		if s.opts.ConvergeTol > 0 && rep.ProfileSteps >= 2 &&
+			within(ob.RC, prev.RC, s.opts.ConvergeTol) &&
+			within(ob.RG, prev.RG, s.opts.ConvergeTol) {
+			break
+		}
+		prev = ob
+		if s.opts.GrowProfileChunk {
+			chunk *= 2
+		}
+	}
+	if prof.Enabled() {
+		prof.End(obs.Num("steps", float64(rep.ProfileSteps)),
+			obs.Num("rc", acc.RC), obs.Num("rg", acc.RG))
+	}
+	return acc, nrem, nil
+}
+
+// quarantine keeps a physically impossible profile away from the α
+// table: the kernel re-profiles on its next invocation.
+func (s *Scheduler) quarantine(kernel string, sc *obs.Scope, ent *kernelEntry, cause error, rep *Report) {
+	rep.ProfileQuarantined = true
+	if sc.Enabled() {
+		sc.Event("profile-quarantined", obs.Str("cause", cause.Error()))
+	}
+	ent.markReprofile()
+	if s.store != nil {
+		s.persistReprofile(kernel)
+	}
+}
+
+// search classifies the profile, picks the category's power curve and
+// runs the α grid search, publishing the decision to a flight this
+// invocation leads.
+func (s *Scheduler) search(kernel string, n int, nrem float64, acc *profile.Observation, sc *obs.Scope, plan invPlan, rep *Report) (float64, error) {
+	rep.Category = acc.ClassifyWith(nrem, s.opts.ShortLongThreshold, s.opts.MemoryBoundThreshold)
+	rep.CatKnown = true
+	curve, ok := s.curve(rep.Category)
+	if !ok {
+		return 0, errNoCurve(rep.Category)
+	}
+	tm := TimeModel{RC: acc.RC, RG: acc.RG}
+	if !tm.Valid() {
+		return 0, fmt.Errorf("core: profiling produced no usable throughputs for kernel %q", kernel)
+	}
+	// Search over at least half an invocation's work: profiling may
+	// have consumed nearly everything (small N), and the α chosen here
+	// is what the table replays on *future* invocations, so it must
+	// reflect a representative workload size, not a remnant.
+	searchN := nrem
+	if half := float64(n) / 2; searchN < half {
+		searchN = half
+		rep.Category = acc.ClassifyWith(searchN, s.opts.ShortLongThreshold, s.opts.MemoryBoundThreshold)
+		curve, ok = s.curve(rep.Category)
+		if !ok {
+			return 0, errNoCurve(rep.Category)
+		}
+	}
+	var span obs.Timed
+	if sc.Enabled() {
+		span = sc.Span("alpha-search")
+	}
+	var alpha float64
+	if s.opts.RefineAlpha {
+		alpha, _ = BestAlphaRefined(curve, tm, searchN, s.metric, s.opts.AlphaStep, 0)
+	} else {
+		alpha, _ = BestAlpha(curve, tm, searchN, s.metric, s.opts.AlphaStep)
+	}
+	if span.Enabled() {
+		span.EndExplain(s.explain(curve, tm, searchN, alpha, rep.Category))
+	}
+	rep.PredictedTime = tm.Time(alpha, searchN)
+	rep.PredictedPower = curve.Power(alpha)
+	s.invPredW = rep.PredictedPower
+	if f := plan.flight; f != nil {
+		if s.eng.FaultPlan().TakeCoalesceLeaderFail() {
+			// Injected leader failure: the decision is ready but never
+			// published — the deferred abort wakes the followers into
+			// their solo fallback. The leader's own invocation
+			// continues unharmed.
+			sc.Event("coalesce-leader-fail")
+		} else {
+			f.publish(Decision{
+				Alpha:          alpha,
+				Category:       rep.Category,
+				RC:             tm.RC,
+				RG:             tm.RG,
+				PredictedPower: rep.PredictedPower,
+				PredictedTime:  rep.PredictedTime,
+			})
+		}
+	}
+	return alpha, nil
+}
+
+func errNoCurve(cat wclass.Category) error {
+	return fmt.Errorf("core: characterization has no curve for %s", cat)
+}
+
+// execute runs the remainder at the chosen split (Fig. 7 steps 23-25).
+// If the GPU stays busy it finishes CPU-only instead
+// (rep.GPUBusyFallback).
+func (s *Scheduler) execute(k *engine.Kernel, nrem, alpha float64, sc *obs.Scope, rep *Report) error {
+	var span obs.Timed
+	if sc.Enabled() {
+		span = sc.Span("execute")
+	}
+	var res engine.Result
+	err := s.retryBusy(rep, sc, func() error {
+		var e error
+		res, e = s.eng.Run(engine.Phase{
+			Kernel:    *k,
+			GPUItems:  alpha * nrem,
+			PoolItems: (1 - alpha) * nrem,
+		})
+		return e
+	})
+	if errors.Is(err, engine.ErrGPUBusy) {
+		if span.Enabled() {
+			span.End(obs.Str("outcome", "gpu-busy"))
+		}
+		return s.cpuFallback(k, nrem, sc, rep)
+	}
+	if err != nil {
+		return err
+	}
+	if span.Enabled() {
+		span.End(obs.Num("gpu_items", alpha*nrem),
+			obs.Num("cpu_items", (1-alpha)*nrem))
+	}
+	s.addResult(rep, &res)
+	return nil
 }
 
 // retryBusy runs op, retrying GPU-busy dispatch failures with capped
@@ -1244,7 +1357,7 @@ func (s *Scheduler) parallelFor(k engine.Kernel, n int, sc obs.Scope, plan invPl
 // rejection counts toward rep.Retries, including the final attempt
 // that exhausts the budget: Retries is the number of busy dispatches
 // observed, not the number of backoffs slept.
-func (s *Scheduler) retryBusy(rep *Report, sc obs.Scope, op func() error) error {
+func (s *Scheduler) retryBusy(rep *Report, sc *obs.Scope, op func() error) error {
 	backoff := s.opts.Retry.BaseBackoff
 	for attempt := 1; ; attempt++ {
 		err := op()
@@ -1274,21 +1387,21 @@ func (s *Scheduler) retryBusy(rep *Report, sc obs.Scope, op func() error) error 
 // became unavailable mid-invocation. The run is NOT accumulated into
 // the α table — a degraded execution says nothing about the kernel's
 // best split, and must not drag the remembered ratio toward zero.
-func (s *Scheduler) cpuFallback(k engine.Kernel, items float64, rep Report, sc obs.Scope) (Report, error) {
+func (s *Scheduler) cpuFallback(k *engine.Kernel, items float64, sc *obs.Scope, rep *Report) error {
 	if sc.Enabled() {
 		sc.Event("cpu-fallback", obs.Num("items", items))
 	}
 	if items > 0 {
-		res, err := s.eng.Run(engine.Phase{Kernel: k, PoolItems: items})
+		res, err := s.eng.Run(engine.Phase{Kernel: *k, PoolItems: items})
 		if err != nil {
-			return Report{}, err
+			return err
 		}
-		rep = s.addResult(res, rep)
+		s.addResult(rep, &res)
 	}
 	rep.GPUBusyFallback = true
 	rep.Alpha = 0
 	s.breaker.RecordFallback()
-	return rep, nil
+	return nil
 }
 
 // explain reconstructs the α grid search as a decision-audit record:
@@ -1342,12 +1455,11 @@ func within(a, b, tol float64) bool {
 
 // addResult folds an engine result into the report, routing its energy
 // through the robust meter when one is configured.
-func (s *Scheduler) addResult(res engine.Result, rep Report) Report {
+func (s *Scheduler) addResult(rep *Report, res *engine.Result) {
 	rep.Duration += res.Duration
 	rep.EnergyJ += s.measureEnergy(res.Duration, res.EnergyJ)
 	rep.CPUItems += res.CPUItems
 	rep.GPUItems += res.GPUItems
-	return rep
 }
 
 // measureEnergy returns the energy to account for an interval of

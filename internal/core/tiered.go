@@ -690,13 +690,9 @@ func (a *Admission) watchdogFire(ticket uint64) {
 	held := time.Since(t.holder.start)
 	tenant := t.holder.tenant
 	onStall := t.opts.OnStall
+	cancel := t.holder.cancel
 	t.watchdogStalls++
 	t.revoked[ticket] = struct{}{}
-	if t.holder.cancel != nil {
-		// Cancel before handing the gate on, so a holder parked on its
-		// context wakes, observes the revocation, and stands down.
-		t.holder.cancel()
-	}
 	t.recordRevokedHoldLocked(held)
 	t.holderOn = false
 	if len(a.queue) > 0 {
@@ -709,6 +705,12 @@ func (a *Admission) watchdogFire(ticket uint64) {
 	a.mu.Unlock()
 	if onStall != nil {
 		onStall(tenant, held)
+	}
+	if cancel != nil {
+		// Cancel only after the stall is recorded: a holder parked on
+		// its context wakes here, observes the revocation and stands
+		// down, and its caller must find the stall already recorded.
+		cancel()
 	}
 }
 

@@ -149,8 +149,12 @@ func (r Result) GPUThroughput() float64 {
 // deliberately relaxes that to phase-level interleaving for
 // disjoint-device invocations.
 type Engine struct {
-	mu     sync.Mutex // serializes simulated phases on the shared clock/PCU/MSRs
-	p      *platform.Platform
+	mu sync.Mutex // serializes simulated phases on the shared clock/PCU/MSRs
+	p  *platform.Platform
+	// spec is the platform's (immutable) specification, copied once so
+	// phases read it through a pointer instead of copying 392 bytes
+	// onto the stack on every Run.
+	spec   platform.Spec
 	faults *faultinject.Plan
 }
 
@@ -159,7 +163,7 @@ func New(p *platform.Platform) *Engine {
 	if p == nil {
 		panic("engine: nil platform")
 	}
-	return &Engine{p: p}
+	return &Engine{p: p, spec: p.Spec()}
 }
 
 // Platform returns the platform the engine drives.
@@ -198,7 +202,7 @@ func (e *Engine) Run(ph Phase) (Result, error) {
 		gpuSlowdown = e.faults.TakeSlowGPU()
 	}
 
-	spec := e.p.Spec()
+	spec := &e.spec
 	cost := ph.Kernel.Cost
 	traffic := cost.TrafficBytes()
 
@@ -364,7 +368,7 @@ func (e *Engine) RunIdle(d time.Duration, tr *trace.Set) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	tick := e.p.Spec().Tick
+	tick := e.spec.Tick
 	if tr != nil && tick > 0 {
 		// The recording grid is fixed (one sample per tick), so reserve
 		// the whole run's samples up front instead of growing ~log n

@@ -203,7 +203,8 @@ type FlightRecorder struct {
 
 	// Dump/debounce state.
 	lastDump   time.Time
-	dumpSeq    uint64
+	dumpSeq    uint64 // ordinal of the latest dump, assigned when it triggers
+	completed  uint64 // dumps whose artifact write has finished
 	suppressed uint64
 	lastJSON   []byte // latest incident artifact, for /debug/flight
 	dumpErr    error  // last file-write failure (surfaced, never fatal)
@@ -418,6 +419,9 @@ func (f *FlightRecorder) Trigger(trigger, reason string) bool {
 			f.mu.Unlock()
 		}
 	}
+	f.mu.Lock()
+	f.completed++
+	f.mu.Unlock()
 	return true
 }
 
@@ -501,13 +505,15 @@ func (f *FlightRecorder) DumpError() error {
 }
 
 // Dumps returns how many incident dumps the recorder has produced.
+// A dump counts once its artifact write has finished, so a reader that
+// sees N finds N incident files (unless DumpError reports a failure).
 func (f *FlightRecorder) Dumps() uint64 {
 	if f == nil {
 		return 0
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.dumpSeq
+	return f.completed
 }
 
 // setNow injects a deterministic clock (tests only).

@@ -23,15 +23,32 @@ func (r Range) Len() int { return r.End - r.Start }
 type ring struct {
 	size int64
 	mask int64
-	buf  []Range
+	buf  []slot
+}
+
+// slot holds one Range in atomics. A thief reads a slot before its CAS
+// on top decides whether the read counts, and the owner may meanwhile
+// refill the slot for a later index. That read is then discarded (the
+// refill means top already moved past it, so the CAS fails), but it is
+// still a concurrent access, which plain fields would make a data race.
+type slot struct {
+	start, end atomic.Int64
 }
 
 func newRing(size int64) *ring {
-	return &ring{size: size, mask: size - 1, buf: make([]Range, size)}
+	return &ring{size: size, mask: size - 1, buf: make([]slot, size)}
 }
 
-func (r *ring) get(i int64) Range    { return r.buf[i&r.mask] }
-func (r *ring) put(i int64, v Range) { r.buf[i&r.mask] = v }
+func (r *ring) get(i int64) Range {
+	s := &r.buf[i&r.mask]
+	return Range{Start: int(s.start.Load()), End: int(s.end.Load())}
+}
+
+func (r *ring) put(i int64, v Range) {
+	s := &r.buf[i&r.mask]
+	s.start.Store(int64(v.Start))
+	s.end.Store(int64(v.End))
+}
 func (r *ring) grow(b, t int64) *ring {
 	nr := newRing(r.size * 2)
 	for i := t; i < b; i++ {

@@ -317,10 +317,11 @@ func invocationAttrs(out *Report) []obs.Attr {
 // amending the core's fallback reason with the functional layer's more
 // specific one (enqueue-error, gpu-timeout) when the degradation
 // happened there.
-func (r *Runtime) finishScope(ctx context.Context, sc obs.Scope, st obs.InvocationStats, kernel string, out *Report, started time.Time) {
+func (r *Runtime) finishScope(ctx context.Context, sc obs.Scope, rep *core.Report, kernel string, out *Report, started time.Time) {
 	if !sc.Enabled() {
 		return
 	}
+	st := core.StatsFor(rep)
 	st.Kernel = kernel
 	req := core.RequestFromContext(ctx)
 	st.Tenant = req.Tenant
