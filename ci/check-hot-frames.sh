@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
 # check-hot-frames.sh — frame budget of the invocation hot path.
 #
-# A goroutine starts on a 2 KiB stack. core.growStack, called first
-# thing in Scheduler.ParallelForScoped, takes the invocation's one
-# stack growth there, straight to 16 KiB (see DESIGN.md, "Hot-path
-# stack discipline"). That only holds while
+# A goroutine starts on a 2 KiB stack. core.growStack takes the
+# invocation's one stack growth, straight to 16 KiB (see DESIGN.md,
+# "Hot-path stack discipline"). The growth point is the first call in
+# Runtime.ParallelForCtx (core.GrowStack), before it opens the
+# observer scope, and Scheduler.ParallelForScoped for callers of the
+# core scheduler; on a stack that is already grown the second call
+# costs nothing. The one growth only holds while
 #   - the frames above the growth point fit the starting stack, so no
 #     earlier, implicit growth happens on the way down, and
 #   - the frames below it fit the grown stack, so no second growth
@@ -13,7 +16,9 @@
 # function's frame (locals=) and argument area (args=) from the TEXT
 # lines, prints every chain frame by frame and fails when a chain
 # exceeds its budget. locals+args counts the argument area twice (the
-# caller's frame holds it too), so the sums are conservative.
+# caller's frame holds it too), and every chain below a growth point
+# starts at Scheduler.ParallelForScoped, which the core callers also
+# count above theirs, so the sums are conservative.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -23,7 +28,7 @@ stack_guard=928   # runtime: stackGuard on linux/amd64 without -race
 above_budget=$start_stack
 
 root=github.com/hetsched/eas
-frames=$(go build -gcflags=-S . ./internal/core ./internal/engine ./internal/profile ./internal/pcu 2>&1 >/dev/null |
+frames=$(go build -gcflags=-S . ./internal/core ./internal/engine ./internal/obs ./internal/profile ./internal/pcu 2>&1 >/dev/null |
     awk '/ STEXT / {
         locals = "0x0"; args = "0x0"
         for (i = 2; i <= NF; i++) {
@@ -69,8 +74,7 @@ max_above=0
 for c in public core observed; do
     case $c in
     public) chain "above the growth point: Runtime.ParallelForCtx" \
-        '.(*Runtime).ParallelForCtx' \
-        '/internal/core.(*Scheduler).ParallelForScoped' ;;
+        '.(*Runtime).ParallelForCtx' ;;
     core) chain "above the growth point: Scheduler.ParallelFor" \
         '/internal/core.(*Scheduler).ParallelFor' \
         '/internal/core.(*Scheduler).ParallelForCtx' \
@@ -89,9 +93,13 @@ for c in public core observed; do
 done
 
 max_below=0
-for c in replay profile; do
+for c in scope replay profile; do
     case $c in
+    scope) chain "below the growth point: opening the observer scope" \
+        '.(*Runtime).beginScope' \
+        '/internal/obs.(*Observer).BeginInvocation' ;;
     replay) chain "below the growth point: replayed α, tiered gate" \
+        '/internal/core.(*Scheduler).ParallelForScoped' \
         '/internal/core.(*Scheduler).admit' \
         '/internal/core.(*Scheduler).parallelForTiered' \
         '/internal/core.(*Scheduler).runAdmitted' \
@@ -103,6 +111,7 @@ for c in replay profile; do
         '/internal/pcu.(*PCU).Observe' \
         '/internal/pcu.PowerModel.Package' ;;
     profile) chain "below the growth point: online profiling, tiered gate" \
+        '/internal/core.(*Scheduler).ParallelForScoped' \
         '/internal/core.(*Scheduler).admit' \
         '/internal/core.(*Scheduler).parallelForTiered' \
         '/internal/core.(*Scheduler).runAdmitted' \

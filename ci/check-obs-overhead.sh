@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # check-obs-overhead.sh — fail the build if disabled observability ever
 # costs anything on the scheduling hot path, or if the armed flight
-# recorder exceeds its per-event allocation budget.
+# recorder exceeds its per-event allocation budget, or if exporting the
+# Chrome trace starts allocating per span.
 #
-# Three layers of defence:
+# Four layers of defence:
 #   1. TestNilObserverZeroAlloc pins the nil-observer steady-state path
 #      to zero heap allocations per invocation.
 #   2. BenchmarkParallelForObserverNil's allocs/op is compared against
@@ -13,11 +14,15 @@
 #   3. BenchmarkFlightRecord pins the enabled flight recorder to the
 #      flight_allocs_per_event budget: recording must stay ring-writes
 #      only, never allocation per event.
+#   4. BenchmarkChromeTraceExport renders a full default ring (8192
+#      decision-path spans) and is pinned to export_allocs_per_op: the
+#      ring snapshot and the encoder's one chunk buffer, whatever the
+#      number of spans.
 #
 # The enabled-observer benchmark runs too and its overhead is printed
 # for the log, but only the *disabled* path and the recorder's event
 # budget are gated — observability is opt-in, its cost is allowed to
-# evolve.
+# evolve — and the export on allocations only.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,6 +35,12 @@ fi
 flight_budget=$(awk '/^flight_allocs_per_event/ {print $2}' "$baseline_file")
 if [[ -z "$flight_budget" ]]; then
     echo "error: no flight_allocs_per_event entry in $baseline_file" >&2
+    exit 1
+fi
+
+export_budget=$(awk '/^export_allocs_per_op/ {print $2}' "$baseline_file")
+if [[ -z "$export_budget" ]]; then
+    echo "error: no export_allocs_per_op entry in $baseline_file" >&2
     exit 1
 fi
 
@@ -70,3 +81,20 @@ if (( flight_allocs > flight_budget )); then
     exit 1
 fi
 echo "OK: flight recorder at $flight_allocs allocs/event (budget $flight_budget)"
+
+echo "== Chrome trace export budget =="
+export_out=$(go test ./internal/obs -run '^$' -bench 'BenchmarkChromeTraceExport' \
+    -benchtime=20x -benchmem -count=1)
+echo "$export_out"
+
+export_allocs=$(echo "$export_out" | awk '/^BenchmarkChromeTraceExport/ {print $(NF-1)}')
+if [[ -z "$export_allocs" ]]; then
+    echo "error: BenchmarkChromeTraceExport produced no allocs/op figure" >&2
+    exit 1
+fi
+if (( export_allocs > export_budget )); then
+    echo "FAIL: exporting 8192 spans allocates $export_allocs times per export, budget is $export_budget" >&2
+    echo "(the encoder appends into one reused buffer; see internal/obs/chrometrace.go)" >&2
+    exit 1
+fi
+echo "OK: Chrome trace export at $export_allocs allocs/op (budget $export_budget)"

@@ -508,6 +508,11 @@ func (r *Runtime) ParallelFor(k Kernel, n int) (*Report, error) {
 // in virtual time and returns quickly); cancellation governs the
 // admission wait and the functional execution.
 func (r *Runtime) ParallelForCtx(ctx context.Context, k Kernel, n int) (*Report, error) {
+	// The invocation's one stack growth comes first, while only the
+	// caller and this frame are on the stack: opening the observer
+	// scope (beginScope → BeginInvocation → time.Now) would otherwise
+	// overflow a fresh goroutine's stack and grow it a first time.
+	core.GrowStack()
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -523,9 +528,9 @@ func (r *Runtime) ParallelForCtx(ctx context.Context, k Kernel, n int) (*Report,
 	defer r.endInvocation()
 	started := time.Now()
 	inv := r.nextInvocation()
-	// This frame runs on a per-request goroutine's starting stack, so
-	// everything that is not needed while the scheduler runs lives in
-	// beginScope, failInvocation and complete (see core's growStack).
+	// This frame sits above the growth point, so everything that is not
+	// needed while the scheduler runs lives in beginScope,
+	// failInvocation and complete (see core's growStack).
 	var sc obs.Scope
 	r.beginScope(&sc, inv, k.Name)
 	var ek engine.Kernel

@@ -363,6 +363,10 @@ type Scheduler struct {
 	// map probe on a freshly built key string.
 	curves  [wclass.NumCategories]powerchar.Curve
 	curveOK [wclass.NumCategories]bool
+	// curveIDs names each curve for the decision audit
+	// (Explain.CurveID); see curveID.
+	curveIDs     [wclass.NumCategories]string
+	curveIDsOnce sync.Once
 
 	// reuse holds the pooled per-invocation state enabled by
 	// Options.Reuse (nil otherwise).
@@ -648,6 +652,12 @@ func growStack(i int) byte {
 	return 0
 }
 
+// GrowStack takes the invocation's one stack growth (see growStack)
+// for a caller that has frames of its own to push before
+// ParallelForScoped: eas.Runtime.ParallelForCtx calls it before it
+// opens the invocation's observer scope.
+func GrowStack() { growStack(0) }
+
 // ParallelForScoped is ParallelForCtx under a caller-owned observer
 // scope, writing the invocation's report into *rep (which it clears
 // first; after an error *rep is unspecified). Spans for admission
@@ -659,7 +669,8 @@ func growStack(i int) byte {
 // observer) disables all of it.
 //
 // It starts by taking the invocation's one stack growth (growStack),
-// while the caller's stack is still shallow.
+// while the caller's stack is still shallow; when the caller has taken
+// it already (GrowStack), the call costs next to nothing.
 func (s *Scheduler) ParallelForScoped(ctx context.Context, k *engine.Kernel, n int, sc *obs.Scope, rep *Report) error {
 	growStack(0)
 	return s.admit(ctx, k, n, sc, rep)
@@ -1428,13 +1439,27 @@ func (s *Scheduler) explain(curve powerchar.Curve, tm TimeModel, searchN, alpha 
 	ex.RC = tm.RC
 	ex.RG = tm.RG
 	ex.Category = cat.Key()
-	ex.CurveID = fmt.Sprintf("%s~deg%d(r2=%.3f)",
-		curve.Category.Key(), len(curve.Coeffs)-1, curve.R2)
+	ex.CurveID = s.curveID(cat) // curve is s.curves[cat.Index()]
 	ex.AlphaStep = s.opts.AlphaStep
 	ex.Alpha = alpha
 	ex.Objective = obj(alpha)
 	ex.Refined = s.opts.RefineAlpha
 	return ex
+}
+
+// curveID names the category's curve for the decision audit. The ids
+// of all curves are formatted together on the first audit, not once per
+// search, and not at construction: a scheduler without an Observer
+// never audits, and report evaluation builds many of those.
+func (s *Scheduler) curveID(cat wclass.Category) string {
+	s.curveIDsOnce.Do(func() {
+		for i, c := range s.curves {
+			if s.curveOK[i] {
+				s.curveIDs[i] = fmt.Sprintf("%s~deg%d(r2=%.3f)", c.Category.Key(), len(c.Coeffs)-1, c.R2)
+			}
+		}
+	})
+	return s.curveIDs[cat.Index()]
 }
 
 // within reports whether a and b agree within relative tolerance tol.

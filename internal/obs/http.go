@@ -85,9 +85,11 @@ func NewHTTPHandlerOpts(opts HTTPOptions) http.Handler {
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Content-Disposition", `attachment; filename="eas-trace.json"`)
-		if err := WriteChromeTrace(w, opts.Ring.Snapshot()); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		// The trace streams out in chunks and can only fail on a write,
+		// by which time the status line and part of the body are gone:
+		// an error response would be a second WriteHeader and text
+		// appended to the partial trace, so a failed export just stops.
+		_ = WriteChromeTrace(w, opts.Ring.Snapshot())
 	})
 	mux.HandleFunc("/debug/tenants", func(w http.ResponseWriter, r *http.Request) {
 		if opts.Observer == nil {

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -112,5 +114,54 @@ func TestHTTPIndexLinks(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("index missing link %q:\n%s", want, body)
 		}
+	}
+}
+
+// failingResponseWriter accepts limit body bytes and fails every write
+// after that, recording each status it is sent (a first Write sends an
+// implicit 200, as net/http's does).
+type failingResponseWriter struct {
+	header   http.Header
+	statuses []int
+	body     bytes.Buffer
+	limit    int
+}
+
+func (f *failingResponseWriter) Header() http.Header { return f.header }
+
+func (f *failingResponseWriter) WriteHeader(code int) { f.statuses = append(f.statuses, code) }
+
+func (f *failingResponseWriter) Write(p []byte) (int, error) {
+	if len(f.statuses) == 0 {
+		f.WriteHeader(http.StatusOK)
+	}
+	if f.body.Len()+len(p) > f.limit {
+		return 0, errors.New("connection reset by peer")
+	}
+	return f.body.Write(p)
+}
+
+// TestHTTPTraceWriteFailsMidStream checks that when the connection
+// fails after the trace has started streaming, /debug/trace neither
+// sends a second status nor appends error text to the partial body.
+func TestHTTPTraceWriteFailsMidStream(t *testing.T) {
+	ring := NewRingSink(0)
+	for _, sp := range serveDecideSpans(2000) {
+		ring.Emit(sp)
+	}
+	var full bytes.Buffer
+	if err := WriteChromeTrace(&full, ring.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if full.Len() <= 2*chunkSize {
+		t.Fatalf("trace of %d B does not span several chunks", full.Len())
+	}
+	w := &failingResponseWriter{header: http.Header{}, limit: chunkSize + chunkSize/2}
+	NewHTTPHandler(nil, ring).ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/debug/trace", nil))
+	if len(w.statuses) != 1 || w.statuses[0] != http.StatusOK {
+		t.Errorf("statuses sent = %v, want only the implicit 200", w.statuses)
+	}
+	if w.body.Len() == 0 || !bytes.HasPrefix(full.Bytes(), w.body.Bytes()) {
+		t.Errorf("body (%d B) is not a prefix of the %d B trace", w.body.Len(), full.Len())
 	}
 }
