@@ -207,6 +207,9 @@ func CharacterizeCtx(ctx context.Context, spec platform.Spec, opts Options) (*Mo
 // alphaGrid enumerates the sweep's α points. It uses the same
 // accumulating loop the serial sweep always used, so the grid (and with
 // it every fitted coefficient) is bit-identical to historical models.
+// Unlike sched.AlphaGrid, its points drift off the exact multiples of
+// step (0.30000000000000004, …, 0.9999999999999999 at step 0.1); the
+// fits are pinned bit-identical, so it deliberately keeps the old loop.
 func alphaGrid(step float64) []float64 {
 	alphas := make([]float64, 0, int(1/step)+2)
 	for alpha := 0.0; alpha <= 1.0+1e-9; alpha += step {

@@ -14,7 +14,6 @@ import (
 	"github.com/hetsched/eas/internal/sched"
 	"github.com/hetsched/eas/internal/svgchart"
 	"github.com/hetsched/eas/internal/trace"
-	"github.com/hetsched/eas/internal/vmath"
 	"github.com/hetsched/eas/internal/workloads"
 )
 
@@ -79,8 +78,7 @@ func WorkloadDetail(abbrev, platformName, metricName string, seed int64) (*Detai
 	d := &Detail{Workload: abbrev, Platform: platformName, Metric: metricName}
 
 	// Fixed-α landscape.
-	for alpha := 0.0; alpha <= 1+1e-9; alpha += 0.1 {
-		a := vmath.Clamp(alpha, 0, 1)
+	for _, a := range sched.AlphaGrid(0.1) {
 		res, err := sched.FixedAlpha(a).Run(context.Background(), w, spec, nil, metric, seed)
 		if err != nil {
 			return nil, err

@@ -35,6 +35,58 @@ func allFigures(t *testing.T) map[string]*EfficiencyFigure {
 	return figs
 }
 
+var (
+	seedFigsMu sync.Mutex
+	seedFigs   = map[int64]map[string]*EfficiencyFigure{}
+)
+
+// figuresAt returns Figs. 9-12 at one seed, keyed by figure ID,
+// evaluating each seed once per test binary.
+func figuresAt(t *testing.T, seed int64) map[string]*EfficiencyFigure {
+	t.Helper()
+	if seed == DefaultSeed {
+		return allFigures(t)
+	}
+	seedFigsMu.Lock()
+	defer seedFigsMu.Unlock()
+	if fs, ok := seedFigs[seed]; ok {
+		return fs
+	}
+	fs := map[string]*EfficiencyFigure{}
+	for _, exp := range []struct{ p, m string }{
+		{"desktop", "edp"}, {"desktop", "energy"},
+		{"tablet", "edp"}, {"tablet", "energy"},
+	} {
+		fig, err := Evaluate(exp.p, exp.m, Options{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs[fig.ID] = fig
+	}
+	seedFigs[seed] = fs
+	return fs
+}
+
+// TestSingleDeviceNeverBeatsOracle checks the Oracle's grid really
+// contains both endpoints: CPU-alone is its α = 0 point and GPU-alone
+// its α = 1 point, so neither can score better than the Oracle on any
+// cell of Figs. 9-12. An accumulated grid that stops at
+// 0.9999999999999999 let GPU-alone read 100.015% of the Oracle on
+// Fig. 10 BFS at seed 3.
+func TestSingleDeviceNeverBeatsOracle(t *testing.T) {
+	for _, seed := range pinSeeds {
+		for _, f := range figuresAt(t, seed) {
+			for _, w := range f.Workloads {
+				for _, s := range []string{"CPU", "GPU"} {
+					if c, o := f.Cells[w][s].Value, f.Oracle[w].Value; c < o {
+						t.Errorf("seed %d %s %s: %s-alone %v beats the Oracle %v", seed, f.ID, w, s, c, o)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestFigureStructure(t *testing.T) {
 	fs := allFigures(t)
 	f9 := fs["Figure 9"]

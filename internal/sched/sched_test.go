@@ -177,3 +177,27 @@ func TestPerfOptimizesTime(t *testing.T) {
 			perf.Duration, gpu.Duration, cpu.Duration)
 	}
 }
+
+func TestAlphaGridExactEndpoints(t *testing.T) {
+	g := AlphaGrid(0.1)
+	if len(g) != 11 {
+		t.Fatalf("AlphaGrid(0.1) has %d points, want 11", len(g))
+	}
+	for i, a := range g {
+		if want := float64(i) / 10; a != want {
+			t.Errorf("point %d = %v, want %v", i, a, want)
+		}
+	}
+	if g[len(g)-1] != 1 {
+		t.Errorf("last point %v, want exactly 1", g[len(g)-1])
+	}
+	for _, step := range []float64{0.05, 0.25, 0.5, 1.0 / 3} {
+		if g := AlphaGrid(step); g[0] != 0 || g[len(g)-1] != 1 {
+			t.Errorf("AlphaGrid(%v) = %v, want 0 … 1", step, g)
+		}
+	}
+	// A step that does not divide 1 visits its multiples below 1.
+	if g := AlphaGrid(0.3); len(g) != 4 || g[3] >= 1 {
+		t.Errorf("AlphaGrid(0.3) = %v", g)
+	}
+}
