@@ -175,3 +175,44 @@ func TestFreqBandwidthScaleBounds(t *testing.T) {
 		t.Errorf("half-speed scale = %v, want 0.6", mid)
 	}
 }
+
+// TestRunAllocsIndependentOfPhaseLength checks the step loop allocates
+// nothing per step: a 10 000-tick phase costs the same allocations as a
+// one-tick phase, without a trace and with a trace whose series already
+// have room.
+func TestRunAllocsIndependentOfPhaseLength(t *testing.T) {
+	k := Kernel{Name: "compute", Cost: computeCost()}
+	spec := platform.DesktopSpec()
+	allocs := func(ticks int, traced bool) float64 {
+		e := New(platform.MustNew(spec))
+		// Calibrate the item count so the phase spans the wanted ticks.
+		probe, err := e.Run(Phase{Kernel: k, GPUItems: 1e6, PoolItems: 1e6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		items := 2e6 * float64(ticks) * float64(spec.Tick) / float64(probe.Duration)
+		var tr *trace.Set
+		if traced {
+			tr = trace.NewSet()
+			tr.Grow(8 * (ticks + 10))
+		}
+		ph := Phase{Kernel: k, GPUItems: items / 2, PoolItems: items / 2, Trace: tr}
+		var steps time.Duration
+		a := testing.AllocsPerRun(3, func() {
+			res, err := e.Run(ph)
+			if err != nil {
+				t.Fatal(err)
+			}
+			steps = res.Duration / spec.Tick
+		})
+		if want := time.Duration(ticks); steps < want*9/10 || steps > want*11/10+1 {
+			t.Fatalf("phase spans %d ticks, want about %d", steps, ticks)
+		}
+		return a
+	}
+	for _, traced := range []bool{false, true} {
+		if short, long := allocs(1, traced), allocs(10000, traced); short != long {
+			t.Errorf("traced=%v: %v allocs for 1 tick, %v for 10000 ticks", traced, short, long)
+		}
+	}
+}

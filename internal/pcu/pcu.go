@@ -193,6 +193,39 @@ type PCU struct {
 	gpuEnergyJ       float64 // PP1 domain (integrated GPU)
 	dramEnergyJ      float64 // DRAM domain
 	simulatedSeconds float64
+
+	// memo caches the last model.Package call. The model never changes
+	// and Package is a pure function of its two loads, so the memo is
+	// not simulation state: Reset and Restore leave it alone.
+	memo packageMemo
+}
+
+// packageMemo is the last Package input pair and its result.
+type packageMemo struct {
+	cpu, gpu device.Load
+	b        Breakdown
+	ok       bool
+}
+
+// sameLoad reports whether two loads are identical bit for bit (so a
+// NaN matches itself and -0 does not match +0).
+func sameLoad(a, b device.Load) bool {
+	return math.Float64bits(a.Active) == math.Float64bits(b.Active) &&
+		math.Float64bits(a.ActiveCores) == math.Float64bits(b.ActiveCores) &&
+		math.Float64bits(a.Hz) == math.Float64bits(b.Hz) &&
+		math.Float64bits(a.MemBytesPerSec) == math.Float64bits(b.MemBytesPerSec) &&
+		math.Float64bits(a.MemShare) == math.Float64bits(b.MemShare)
+}
+
+// breakdown returns p.model.Package(cpu, gpu), reusing the previous
+// result when the inputs repeat (idle time, and every step at a steady
+// frequency), which skips the frequency-scaling math.Pow calls.
+func (p *PCU) breakdown(cpu, gpu device.Load) Breakdown {
+	m := &p.memo
+	if !m.ok || !sameLoad(cpu, m.cpu) || !sameLoad(gpu, m.gpu) {
+		m.cpu, m.gpu, m.b, m.ok = cpu, gpu, p.model.Package(cpu, gpu), true
+	}
+	return m.b
 }
 
 // New constructs a PCU. It panics on invalid configuration: platform
@@ -282,7 +315,7 @@ func (p *PCU) Frequencies(cpuBusy, gpuBusy bool) (cpuHz, gpuHz float64) {
 // PCU integrates power, advances transient timers, and updates the TDP
 // controller. It returns the package power breakdown for the tick.
 func (p *PCU) Observe(cpu, gpu device.Load, dt time.Duration) Breakdown {
-	b := p.model.Package(cpu, gpu)
+	b := p.breakdown(cpu, gpu)
 	w := b.Total()
 	dts := dt.Seconds()
 

@@ -338,3 +338,45 @@ func TestThermalValidation(t *testing.T) {
 		t.Errorf("disabled thermal model rejected: %v", err)
 	}
 }
+
+// TestPackageMemoMatchesRecompute drives two PCUs through the same load
+// sequence — repeats, a single-field change in each position, zero
+// loads, and a snapshot/restore — one of them with its Package memo
+// cleared before every step. Breakdowns and state must agree exactly.
+func TestPackageMemoMatchesRecompute(t *testing.T) {
+	memo, ref := New(testPolicy(), testModel()), New(testPolicy(), testModel())
+	c, g := cpuLoad(3.9, 3.4e9, 0.6, 2e9), gpuLoad(1.2e9, 0.3, 4e9)
+	steps := [][2]device.Load{
+		{c, g}, {c, g}, {c, g},
+		{{}, {}}, {{}, {}},
+		{c, g},
+	}
+	for i := 0; i < 5; i++ {
+		cc, gg := c, g
+		f := []*float64{&cc.Active, &cc.ActiveCores, &cc.Hz, &cc.MemBytesPerSec, &cc.MemShare}[i]
+		*f *= 0.5
+		h := []*float64{&gg.Active, &gg.ActiveCores, &gg.Hz, &gg.MemBytesPerSec, &gg.MemShare}[i]
+		*h += 0.25
+		steps = append(steps, [2]device.Load{cc, g}, [2]device.Load{c, gg}, [2]device.Load{c, g})
+	}
+	var snapM, snapR State
+	for i, st := range steps {
+		if i == 4 {
+			snapM, snapR = memo.Snapshot(), ref.Snapshot()
+		}
+		ref.memo = packageMemo{}
+		bm := memo.Observe(st[0], st[1], tick())
+		br := ref.Observe(st[0], st[1], tick())
+		if want := testModel().Package(st[0], st[1]); bm != want || br != want {
+			t.Fatalf("step %d: memoized %+v, recomputed %+v, model %+v", i, bm, br, want)
+		}
+		if memo.Snapshot() != ref.Snapshot() {
+			t.Fatalf("step %d: state diverged", i)
+		}
+	}
+	memo.Restore(snapM)
+	ref.Restore(snapR)
+	if bm, br := memo.Observe(c, g, tick()), ref.Observe(c, g, tick()); bm != br || memo.Snapshot() != ref.Snapshot() {
+		t.Fatalf("after restore: %+v vs %+v", bm, br)
+	}
+}
