@@ -5,8 +5,11 @@ import (
 	"context"
 	"testing"
 
+	"github.com/hetsched/eas/internal/metrics"
 	"github.com/hetsched/eas/internal/platform"
 	"github.com/hetsched/eas/internal/powerchar"
+	"github.com/hetsched/eas/internal/sched"
+	"github.com/hetsched/eas/internal/workloads"
 )
 
 func cacheStats() (hits, misses int) { return powerchar.DefaultCache.Stats() }
@@ -73,5 +76,36 @@ func TestEvaluateSpecUsesCache(t *testing.T) {
 	}
 	if _, missesAfter := cacheStats(); missesAfter != missesBefore {
 		t.Errorf("re-evaluating the same platform re-characterized it (misses %d → %d)", missesBefore, missesAfter)
+	}
+}
+
+// TestGridCellsMatchStrategies checks the flat evaluation grid against
+// the strategies it stands in for: the CPU and GPU cells taken from the
+// Oracle's α = 0 and α = 1 candidates equal CPUOnly and GPUOnly runs,
+// and the picked Oracle equals sched.Oracle's own run. A step whose
+// grid has no exact 1 (0.3) runs GPU-alone as its own job.
+func TestGridCellsMatchStrategies(t *testing.T) {
+	ctx := context.Background()
+	for _, step := range []float64{0.1, 0.3} {
+		spec := platform.TabletSpec()
+		fig, err := evaluateSpec(ctx, spec, "energy", Options{OracleStep: step})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range workloads.ForPlatform(spec.Name) {
+			for _, s := range []sched.Strategy{sched.CPUOnly(), sched.GPUOnly(), sched.Oracle(step)} {
+				want, err := s.Run(ctx, w, spec, nil, metrics.Energy, DefaultSeed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := fig.Oracle[w.Abbrev]
+				if s.Name() != "Oracle" {
+					got = fig.Cells[w.Abbrev][s.Name()].Result
+				}
+				if got != want {
+					t.Errorf("step %v %s/%s: grid %+v, strategy %+v", step, w.Abbrev, s.Name(), got, want)
+				}
+			}
+		}
 	}
 }
